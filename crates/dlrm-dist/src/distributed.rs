@@ -21,6 +21,9 @@
 //! which is why the two schedules produce bitwise-identical losses (the
 //! `schedule_equivalence` suite proves it, including under chaos plans).
 //! Overlap moves time, never bits.
+//!
+//! Both schedules, and both embedding sources (pooled forward exchange or
+//! lookahead prefetch), run one step body, `DistDlrm::step`.
 
 use crate::bucketing::{BucketReducer, DEFAULT_BUCKET_CAP_BYTES};
 use crate::ddp::{averaged_sgd_step, grad_offsets, unflatten_grads};
@@ -32,7 +35,7 @@ use crate::prefetch::{Prefetch, PrefetchState};
 use crate::wirepolicy::{AdaptivePolicy, PolicyStats};
 use dlrm::embedding_layer::EmbeddingLayer;
 use dlrm::interaction::Interaction;
-use dlrm::layers::{Activation, Execution, Mlp};
+use dlrm::layers::{Activation, Execution, Linear, Mlp};
 use dlrm::model::DlrmModel;
 use dlrm_comm::chaos::FaultPlan;
 use dlrm_comm::instrument::{time_opt, OpKind, TimingRecorder};
@@ -315,7 +318,7 @@ impl DistDlrm {
 
     /// Builds one step's bucket reducer: fixed wire straight from the
     /// config, or the adaptive policy's fresh per-bucket decisions. Takes
-    /// fields (not `&mut self`) so the train steps can call it while the
+    /// fields (not `&mut self`) so the step can call it while the
     /// engine/recorder borrows are live.
     fn build_reducer(
         flat_grads: &mut Vec<f32>,
@@ -408,6 +411,46 @@ impl DistDlrm {
     /// arithmetic; [`Schedule::Overlapped`] only moves the `finish` halves
     /// later and the bucket issues earlier.
     pub fn train_step(&mut self, global: &MiniBatch, lr: f32) -> f64 {
+        self.step(global, None, lr)
+    }
+
+    /// One lookahead-pipelined training iteration (requires
+    /// [`Prefetch::Lookahead`] in the construction options). `win.current()`
+    /// is this step's global batch; the window is the shared deterministic
+    /// view every rank derives bit-identical fetch plans from. The caller
+    /// advances the window between steps.
+    ///
+    /// Bitwise-identical to [`DistDlrm::train_step`] over the same stream:
+    /// the pooled table slices are reproduced locally from cached unique
+    /// rows in the naive accumulate order, and everything from the bottom
+    /// MLP down — backward, gradient exchanges, owner updates, bucketed
+    /// allreduce — is the same step body (`tests/prefetch_equivalence`
+    /// asserts losses *and all parameter planes*). What changes is the
+    /// wire: each unique row crosses once per residency instead of `n·E`
+    /// pooled floats per step, and next-step rows fly behind backward
+    /// compute.
+    pub fn train_step_lookahead(&mut self, win: &LookaheadWindow<'_>, lr: f32) -> f64 {
+        let mut ps = self
+            .prefetch
+            .take()
+            .expect("prefetch not enabled; construct with Prefetch::Lookahead");
+        let loss = self.step(win.current(), Some((&mut ps, win)), lr);
+        self.prefetch = Some(ps);
+        loss
+    }
+
+    /// The one step body behind [`DistDlrm::train_step`] (`lookahead =
+    /// None`: owner table forward + pooled forward exchange) and
+    /// [`DistDlrm::train_step_lookahead`] (local pooling from prefetched
+    /// rows). Only the embedding source, the early fetch and the sparse
+    /// update branch on `lookahead`; the schedule only decides when each
+    /// split-phase collective is finished and when buckets are issued.
+    fn step(
+        &mut self,
+        global: &MiniBatch,
+        mut lookahead: Option<(&mut PrefetchState, &LookaheadWindow<'_>)>,
+        lr: f32,
+    ) -> f64 {
         let r = self.nranks();
         let gn = global.batch_size();
         assert_eq!(gn % r, 0, "global minibatch must divide by ranks");
@@ -418,40 +461,71 @@ impl DistDlrm {
         let overlapped = self.schedule == Schedule::Overlapped;
         let rec_arc = self.recorder.clone();
         let rec = rec_arc.as_deref();
+        let engine = self.engine.as_ref();
 
         // --- forward ------------------------------------------------------
         let local = global.slice(me * n, (me + 1) * n);
 
-        // Model-parallel embedding forward over the full global batch.
-        let local_outs: Vec<Matrix> = time_opt(rec, OpKind::Compute, || {
-            self.local_tables
-                .iter_mut()
-                .map(|(t, layer)| layer.forward(&exec, &global.indices[*t], &global.offsets[*t]))
-                .collect()
-        });
-
-        // Model-parallel -> data-parallel switch, split-phase: in flight
-        // (or packed) across the bottom MLP forward.
-        let engine = self.engine.as_ref();
-        let mut pending_fwd = Some(begin_forward_exchange(
-            self.strategy,
-            &self.comm,
-            engine,
-            &local_outs,
-            self.cfg.num_tables,
-            n,
-            e,
-            self.wire.forward_alltoall,
-            rec,
-        ));
-        if !overlapped {
-            finish_forward_exchange(
-                pending_fwd.take().unwrap(),
-                &self.comm,
-                &mut self.fwd_slices,
-                rec,
-            );
-        }
+        let mut pending_fwd = match lookahead.as_mut() {
+            // Model-parallel embedding forward over the full global batch,
+            // then the model-parallel -> data-parallel switch, split-phase:
+            // in flight (or packed) across the bottom MLP forward.
+            None => {
+                let local_outs: Vec<Matrix> = time_opt(rec, OpKind::Compute, || {
+                    self.local_tables
+                        .iter_mut()
+                        .map(|(t, layer)| {
+                            layer.forward(&exec, &global.indices[*t], &global.offsets[*t])
+                        })
+                        .collect()
+                });
+                let pending = begin_forward_exchange(
+                    self.strategy,
+                    &self.comm,
+                    engine,
+                    &local_outs,
+                    self.cfg.num_tables,
+                    n,
+                    e,
+                    self.wire.forward_alltoall,
+                    rec,
+                );
+                if overlapped {
+                    Some(pending)
+                } else {
+                    finish_forward_exchange(pending, &self.comm, &mut self.fwd_slices, rec);
+                    None
+                }
+            }
+            // Lookahead front end: fold newly visible batches into the need
+            // horizon, land the early fetch issued last step, fill the gaps
+            // with a late fetch, record this batch's touches, then pool
+            // every table's slice locally from cached rows in the naive
+            // accumulate order (replacing the pooled forward alltoall).
+            Some((ps, win)) => {
+                let j = ps.step();
+                assert_eq!(win.pos(), j as usize, "window cursor out of sync");
+                ps.observe_visible(win, n);
+                ps.land_early_fetch(r, e, rec);
+                ps.late_fetch(
+                    j,
+                    global,
+                    me,
+                    r,
+                    n,
+                    &self.local_tables,
+                    &self.comm,
+                    self.wire.forward_alltoall,
+                    rec,
+                );
+                ps.record_touches(j, global, n);
+                ensure_mats(&mut self.fwd_slices, self.cfg.num_tables, n, e);
+                time_opt(rec, OpKind::Compute, || {
+                    ps.pool_forward(global, me, n, &mut self.fwd_slices)
+                });
+                None
+            }
+        };
 
         let z0 = time_opt(rec, OpKind::Compute, || {
             self.bottom.forward(&exec, &local.dense)
@@ -473,9 +547,10 @@ impl DistDlrm {
         bce_with_logits_backward(logits, &local.labels, &mut self.dlogits);
         let dy_top = Matrix::from_slice(1, n, &self.dlogits);
 
-        // The bucketed allreduce: overlapped issues each bucket as backward
-        // produces its layers; synchronous writes/issues everything after
-        // the bottom backward. Identical plan either way.
+        // The bucketed allreduce: backward writes each layer's gradients
+        // into the flat buffer as it produces them; overlapped also issues
+        // each bucket the moment it is complete, synchronous leaves every
+        // issue to `finalize`. Identical plan either way.
         let mut reducer = Self::build_reducer(
             &mut self.flat_grads,
             self.grad_total,
@@ -484,20 +559,32 @@ impl DistDlrm {
             &mut self.wire_policy,
         );
 
-        let d_inter = if overlapped {
-            let offs = &self.grad_offs[1];
-            let red = &mut reducer;
-            time_opt(rec, OpKind::Compute, || {
-                self.top.backward_with(&exec, dy_top, |i, layer| {
-                    let off = offs[i];
-                    red.write(off, layer.dw.as_slice());
-                    red.write(off + layer.dw.as_slice().len(), &layer.db);
-                    red.on_produced(off, engine, None);
-                })
+        // Early fetch of batch j+1's rows, issued on the exchange channel
+        // before the backward alltoall so it flies behind the backward
+        // compute below (channel FIFO order is identical on all ranks:
+        // late(j), early(j+1), backward(j)).
+        if let Some((ps, win)) = lookahead.as_mut() {
+            ps.issue_early_fetch(
+                ps.step(),
+                win,
+                me,
+                r,
+                n,
+                &self.local_tables,
+                &self.comm,
+                engine,
+                self.wire.forward_alltoall,
+                rec,
+            );
+        }
+
+        let offs = &self.grad_offs[1];
+        let red = &mut reducer;
+        let d_inter = time_opt(rec, OpKind::Compute, || {
+            self.top.backward_with(&exec, dy_top, |i, layer| {
+                produce_grads(red, offs[i], layer, overlapped, engine)
             })
-        } else {
-            time_opt(rec, OpKind::Compute, || self.top.backward(&exec, dy_top))
-        };
+        });
 
         let (d_bottom, d_tables) =
             time_opt(rec, OpKind::Compute, || self.interaction.backward(&d_inter));
@@ -524,22 +611,13 @@ impl DistDlrm {
             );
         }
 
-        if overlapped {
-            let offs = &self.grad_offs[0];
-            let red = &mut reducer;
-            time_opt(rec, OpKind::Compute, || {
-                self.bottom.backward_with(&exec, d_bottom, |i, layer| {
-                    let off = offs[i];
-                    red.write(off, layer.dw.as_slice());
-                    red.write(off + layer.dw.as_slice().len(), &layer.db);
-                    red.on_produced(off, engine, None);
-                });
+        let offs = &self.grad_offs[0];
+        let red = &mut reducer;
+        time_opt(rec, OpKind::Compute, || {
+            self.bottom.backward_with(&exec, d_bottom, |i, layer| {
+                produce_grads(red, offs[i], layer, overlapped, engine)
             });
-        } else {
-            time_opt(rec, OpKind::Compute, || {
-                let _ = self.bottom.backward(&exec, d_bottom);
-            });
-        }
+        });
 
         if let Some(p) = pending_bwd.take() {
             finish_backward_exchange(p, &self.comm, &mut self.bwd_grads, rec);
@@ -547,26 +625,20 @@ impl DistDlrm {
 
         // Local gradients are means over n = GN/R samples; dividing the
         // learning rate by R makes the sparse update a global-batch mean.
+        // Under lookahead the owner's forward never ran, so the batch is
+        // recorded first, and cached rows get the delayed local update.
         let emb_lr = lr / r as f32;
         time_opt(rec, OpKind::Compute, || {
-            for ((_, layer), grad) in self.local_tables.iter_mut().zip(&self.bwd_grads) {
+            for ((t, layer), grad) in self.local_tables.iter_mut().zip(&self.bwd_grads) {
+                if lookahead.is_some() {
+                    layer.set_saved_batch(&global.indices[*t], &global.offsets[*t]);
+                }
                 layer.backward_update(&exec, grad, emb_lr);
             }
+            if let Some((ps, _)) = lookahead.as_mut() {
+                ps.apply_local_updates(global, me, n, &d_tables, emb_lr);
+            }
         });
-
-        // Synchronous: fill the flat buffer now (same offsets, same plan).
-        if !overlapped {
-            time_opt(rec, OpKind::AllreduceFramework, || {
-                for (m, mlp) in [&self.bottom, &self.top].into_iter().enumerate() {
-                    for (i, layer) in mlp.layers.iter().enumerate() {
-                        let off = self.grad_offs[m][i];
-                        reducer.write(off, layer.dw.as_slice());
-                        reducer.write(off + layer.dw.as_slice().len(), &layer.db);
-                    }
-                }
-            });
-            reducer.on_produced(0, engine, rec);
-        }
 
         // DDP: complete the summed-gradient reduction, apply the averaged
         // step.
@@ -583,221 +655,28 @@ impl DistDlrm {
             averaged_sgd_step(&mut self.top, lr, r);
         });
 
+        if let Some((ps, _)) = lookahead {
+            ps.finish_step(ps.step());
+        }
         loss
     }
+}
 
-    /// One lookahead-pipelined training iteration (requires
-    /// [`Prefetch::Lookahead`] in the construction options). `win.current()`
-    /// is this step's global batch; the window is the shared deterministic
-    /// view every rank derives bit-identical fetch plans from. The caller
-    /// advances the window between steps.
-    ///
-    /// Bitwise-identical to [`DistDlrm::train_step`] over the same stream:
-    /// the pooled table slices are reproduced locally from cached unique
-    /// rows in the naive accumulate order, and everything from the bottom
-    /// MLP down — backward, gradient exchanges, owner updates, bucketed
-    /// allreduce — is the unchanged code path (`tests/prefetch_equivalence`
-    /// asserts losses *and all parameter planes*). What changes is the
-    /// wire: each unique row crosses once per residency instead of `n·E`
-    /// pooled floats per step, and next-step rows fly behind backward
-    /// compute.
-    pub fn train_step_lookahead(&mut self, win: &LookaheadWindow<'_>, lr: f32) -> f64 {
-        let mut ps = self
-            .prefetch
-            .take()
-            .expect("prefetch not enabled; construct with Prefetch::Lookahead");
-        let loss = self.lookahead_step(&mut ps, win, lr);
-        self.prefetch = Some(ps);
-        loss
-    }
-
-    fn lookahead_step(
-        &mut self,
-        ps: &mut PrefetchState,
-        win: &LookaheadWindow<'_>,
-        lr: f32,
-    ) -> f64 {
-        let r = self.nranks();
-        let global = win.current();
-        let gn = global.batch_size();
-        assert_eq!(gn % r, 0, "global minibatch must divide by ranks");
-        let n = gn / r;
-        let me = self.rank();
-        let exec = self.exec.clone();
-        let e = self.cfg.emb_dim;
-        let overlapped = self.schedule == Schedule::Overlapped;
-        let rec_arc = self.recorder.clone();
-        let rec = rec_arc.as_deref();
-        assert_eq!(win.pos(), ps.step() as usize, "window cursor out of sync");
-        let j = ps.step();
-
-        // --- forward ------------------------------------------------------
-        let local = global.slice(me * n, (me + 1) * n);
-        let engine = self.engine.as_ref();
-
-        // Lookahead front end: fold newly visible batches into the need
-        // horizon, land the early fetch issued last step, fill the gaps
-        // with a late fetch, then record this batch's touches.
-        ps.observe_visible(win, n);
-        ps.land_early_fetch(r, e, rec);
-        ps.late_fetch(
-            j,
-            global,
-            me,
-            r,
-            n,
-            &self.local_tables,
-            &self.comm,
-            self.wire.forward_alltoall,
-            rec,
-        );
-        ps.record_touches(j, global, n);
-
-        // Local fan-out replaces the pooled forward alltoall: every table's
-        // slice is pooled from cached rows in the naive accumulate order.
-        ensure_mats(&mut self.fwd_slices, self.cfg.num_tables, n, e);
-        time_opt(rec, OpKind::Compute, || {
-            ps.pool_forward(global, me, n, &mut self.fwd_slices)
-        });
-
-        let z0 = time_opt(rec, OpKind::Compute, || {
-            self.bottom.forward(&exec, &local.dense)
-        });
-        let logits_m = time_opt(rec, OpKind::Compute, || {
-            let inter = self.interaction.forward(&exec, &z0, &self.fwd_slices);
-            self.top.forward(&exec, &inter)
-        });
-        let logits = logits_m.as_slice();
-        let loss = bce_with_logits_loss(logits, &local.labels);
-
-        // --- backward -----------------------------------------------------
-        self.dlogits.resize(n, 0.0);
-        bce_with_logits_backward(logits, &local.labels, &mut self.dlogits);
-        let dy_top = Matrix::from_slice(1, n, &self.dlogits);
-
-        let mut reducer = Self::build_reducer(
-            &mut self.flat_grads,
-            self.grad_total,
-            self.bucket_cap_bytes,
-            self.wire.allreduce,
-            &mut self.wire_policy,
-        );
-
-        // Early fetch of batch j+1's rows, issued on the exchange channel
-        // before the backward alltoall so it flies behind the backward
-        // compute below (channel FIFO order is identical on all ranks:
-        // late(j), early(j+1), backward(j)).
-        ps.issue_early_fetch(
-            j,
-            win,
-            me,
-            r,
-            n,
-            &self.local_tables,
-            &self.comm,
-            engine,
-            self.wire.forward_alltoall,
-            rec,
-        );
-
-        let d_inter = if overlapped {
-            let offs = &self.grad_offs[1];
-            let red = &mut reducer;
-            time_opt(rec, OpKind::Compute, || {
-                self.top.backward_with(&exec, dy_top, |i, layer| {
-                    let off = offs[i];
-                    red.write(off, layer.dw.as_slice());
-                    red.write(off + layer.dw.as_slice().len(), &layer.db);
-                    red.on_produced(off, engine, None);
-                })
-            })
-        } else {
-            time_opt(rec, OpKind::Compute, || self.top.backward(&exec, dy_top))
-        };
-
-        let (d_bottom, d_tables) =
-            time_opt(rec, OpKind::Compute, || self.interaction.backward(&d_inter));
-
-        let mut pending_bwd = Some(begin_backward_exchange(
-            self.strategy,
-            &self.comm,
-            engine,
-            &d_tables,
-            self.cfg.num_tables,
-            n,
-            e,
-            self.wire.backward_alltoall,
-            rec,
-        ));
-        if !overlapped {
-            finish_backward_exchange(
-                pending_bwd.take().unwrap(),
-                &self.comm,
-                &mut self.bwd_grads,
-                rec,
-            );
-        }
-
-        if overlapped {
-            let offs = &self.grad_offs[0];
-            let red = &mut reducer;
-            time_opt(rec, OpKind::Compute, || {
-                self.bottom.backward_with(&exec, d_bottom, |i, layer| {
-                    let off = offs[i];
-                    red.write(off, layer.dw.as_slice());
-                    red.write(off + layer.dw.as_slice().len(), &layer.db);
-                    red.on_produced(off, engine, None);
-                });
-            });
-        } else {
-            time_opt(rec, OpKind::Compute, || {
-                let _ = self.bottom.backward(&exec, d_bottom);
-            });
-        }
-
-        if let Some(p) = pending_bwd.take() {
-            finish_backward_exchange(p, &self.comm, &mut self.bwd_grads, rec);
-        }
-
-        // Owner canonical update (the forward never ran here, so record the
-        // batch first) plus the delayed local update of cached rows.
-        let emb_lr = lr / r as f32;
-        time_opt(rec, OpKind::Compute, || {
-            for ((t, layer), grad) in self.local_tables.iter_mut().zip(&self.bwd_grads) {
-                layer.set_saved_batch(&global.indices[*t], &global.offsets[*t]);
-                layer.backward_update(&exec, grad, emb_lr);
-            }
-            ps.apply_local_updates(global, me, n, &d_tables, emb_lr);
-        });
-
-        if !overlapped {
-            time_opt(rec, OpKind::AllreduceFramework, || {
-                for (m, mlp) in [&self.bottom, &self.top].into_iter().enumerate() {
-                    for (i, layer) in mlp.layers.iter().enumerate() {
-                        let off = self.grad_offs[m][i];
-                        reducer.write(off, layer.dw.as_slice());
-                        reducer.write(off + layer.dw.as_slice().len(), &layer.db);
-                    }
-                }
-            });
-            reducer.on_produced(0, engine, rec);
-        }
-
-        let flat = reducer.finalize(&self.comm, engine, rec);
-        unflatten_grads(&flat, &mut [&mut self.bottom, &mut self.top]);
-        // The reduced flat gradient is bitwise rank-identical — feeding it
-        // into the policy keeps every rank's next-step decisions identical.
-        if let Some(policy) = self.wire_policy.as_mut() {
-            policy.observe_flat(&flat, self.bucket_cap_bytes);
-        }
-        self.flat_grads = flat;
-        time_opt(rec, OpKind::Compute, || {
-            averaged_sgd_step(&mut self.bottom, lr, r);
-            averaged_sgd_step(&mut self.top, lr, r);
-        });
-
-        ps.finish_step(j);
-        loss
+/// The backward hook of both schedules: copies layer gradients into the
+/// reducer's flat buffer at `off`. The overlapped schedule also issues
+/// every bucket that is now complete; the synchronous one leaves all
+/// issues to [`BucketReducer::finalize`].
+fn produce_grads(
+    red: &mut BucketReducer,
+    off: usize,
+    layer: &Linear,
+    overlapped: bool,
+    engine: Option<&ProgressEngine>,
+) {
+    red.write(off, layer.dw.as_slice());
+    red.write(off + layer.dw.as_slice().len(), &layer.db);
+    if overlapped {
+        red.on_produced(off, engine, None);
     }
 }
 

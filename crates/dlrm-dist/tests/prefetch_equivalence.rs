@@ -9,9 +9,10 @@
 //! replay.
 
 use dlrm_comm::nonblocking::{create_channel_worlds_with_chaos, Backend, ProgressEngine};
+use dlrm_comm::wire::WirePrecision;
 use dlrm_comm::world::CommWorld;
 use dlrm_data::{DlrmConfig, IndexDistribution, LookaheadWindow, MiniBatch};
-use dlrm_dist::distributed::{DistDlrm, DistOptions, Schedule};
+use dlrm_dist::distributed::{AllreduceWire, DistDlrm, DistOptions, Schedule, WireConfig};
 use dlrm_dist::exchange::ExchangeStrategy;
 use dlrm_dist::prefetch::Prefetch;
 use dlrm_tensor::init::seeded_rng;
@@ -113,6 +114,7 @@ fn opts(
     schedule: Schedule,
     seed: u64,
     prefetch: Prefetch,
+    wire: WireConfig,
 ) -> DistOptions {
     DistOptions {
         strategy,
@@ -123,6 +125,7 @@ fn opts(
         // genuinely interleaves with the in-flight early fetches.
         bucket_cap_bytes: 128,
         prefetch,
+        wire,
         ..Default::default()
     }
 }
@@ -131,6 +134,15 @@ fn opts(
 /// ≡ naive, bitwise, in losses and every parameter plane. The naive
 /// baseline is computed once per (ranks, seed) and reused across windows.
 fn equivalence_suite(strategy: ExchangeStrategy, schedule: Schedule, seeds: u64) {
+    equivalence_suite_wire(strategy, schedule, seeds, WireConfig::default());
+}
+
+fn equivalence_suite_wire(
+    strategy: ExchangeStrategy,
+    schedule: Schedule,
+    seeds: u64,
+    wire: WireConfig,
+) {
     let cfg = cfg8();
     for nranks in [1usize, 2, 4, 8] {
         for seed in 0..seeds {
@@ -138,7 +150,7 @@ fn equivalence_suite(strategy: ExchangeStrategy, schedule: Schedule, seeds: u64)
             let naive = train_fingerprint(
                 &cfg,
                 nranks,
-                &opts(strategy, schedule, seed, Prefetch::Off),
+                &opts(strategy, schedule, seed, Prefetch::Off, wire),
                 &batches,
                 0.1,
             );
@@ -146,18 +158,24 @@ fn equivalence_suite(strategy: ExchangeStrategy, schedule: Schedule, seeds: u64)
                 let got = train_fingerprint(
                     &cfg,
                     nranks,
-                    &opts(strategy, schedule, seed, Prefetch::Lookahead { window }),
+                    &opts(
+                        strategy,
+                        schedule,
+                        seed,
+                        Prefetch::Lookahead { window },
+                        wire,
+                    ),
                     &batches,
                     0.1,
                 );
                 for (rank, (n, g)) in naive.iter().zip(&got).enumerate() {
                     assert_eq!(
                         n.0, g.0,
-                        "{strategy} {schedule} R={nranks} seed={seed} W={window} rank={rank}: losses diverged"
+                        "{strategy} {schedule} {wire:?} R={nranks} seed={seed} W={window} rank={rank}: losses diverged"
                     );
                     assert_eq!(
                         n.1, g.1,
-                        "{strategy} {schedule} R={nranks} seed={seed} W={window} rank={rank}: parameter planes diverged"
+                        "{strategy} {schedule} {wire:?} R={nranks} seed={seed} W={window} rank={rank}: parameter planes diverged"
                     );
                 }
             }
@@ -193,6 +211,25 @@ fn prefetch_equals_naive_synchronous_schedule() {
     equivalence_suite(ExchangeStrategy::CclAlltoall, Schedule::Synchronous, 10);
 }
 
+/// Prefetch constrains only the alltoall wires; the bucketed allreduce
+/// runs the same path as the naive step. A fixed INT8 allreduce and the
+/// adaptive per-bucket policy must leave prefetched ≡ naive, bitwise.
+#[test]
+fn prefetch_equals_naive_int8_and_adaptive_allreduce() {
+    let int8 = WireConfig {
+        allreduce: AllreduceWire::Fixed(WirePrecision::Int8),
+        ..Default::default()
+    };
+    let adaptive = WireConfig {
+        allreduce: AllreduceWire::Adaptive { error_bound: 0.05 },
+        ..Default::default()
+    };
+    for wire in [int8, adaptive] {
+        equivalence_suite_wire(ExchangeStrategy::Alltoall, Schedule::Overlapped, 5, wire);
+        equivalence_suite_wire(ExchangeStrategy::CclAlltoall, Schedule::Overlapped, 5, wire);
+    }
+}
+
 /// Long streams with a deep window: rows live through many
 /// fetch/update/invalidate/evict cycles and the pipeline drains past the
 /// end of the stream.
@@ -204,7 +241,13 @@ fn prefetch_equals_naive_long_stream() {
         let naive = train_fingerprint(
             &cfg,
             4,
-            &opts(strategy, Schedule::Overlapped, 91, Prefetch::Off),
+            &opts(
+                strategy,
+                Schedule::Overlapped,
+                91,
+                Prefetch::Off,
+                WireConfig::default(),
+            ),
             &batches,
             0.1,
         );
@@ -217,6 +260,7 @@ fn prefetch_equals_naive_long_stream() {
                     Schedule::Overlapped,
                     91,
                     Prefetch::Lookahead { window },
+                    WireConfig::default(),
                 ),
                 &batches,
                 0.1,

@@ -9,7 +9,9 @@
 use dlrm_comm::chaos::ChaosConfig;
 use dlrm_comm::wire::WirePrecision;
 use dlrm_data::{DlrmConfig, IndexDistribution, MiniBatch};
-use dlrm_dist::distributed::{run_training_with_chaos, DistOptions, Schedule, WireConfig};
+use dlrm_dist::distributed::{
+    run_training_with_chaos, AllreduceWire, DistOptions, Schedule, WireConfig,
+};
 use dlrm_dist::exchange::ExchangeStrategy;
 use dlrm_tensor::init::seeded_rng;
 
@@ -128,6 +130,23 @@ fn overlapped_equals_synchronous_bf16_wire() {
     let bf16 = WireConfig::all(WirePrecision::Bf16);
     equivalence_suite_wire(ExchangeStrategy::Alltoall, 15, bf16);
     equivalence_suite_wire(ExchangeStrategy::CclAlltoall, 15, bf16);
+}
+
+/// The lossy allreduce tiers: fixed INT8 on every wire, and the adaptive
+/// per-bucket policy over FP32 alltoalls. Both schedules write the same
+/// gradients into the same bucket plan and the policy decides from
+/// rank-identical reduced gradients, so the schedules still agree bitwise.
+#[test]
+fn overlapped_equals_synchronous_int8_and_adaptive_wire() {
+    let int8 = WireConfig::all(WirePrecision::Int8);
+    let adaptive = WireConfig {
+        allreduce: AllreduceWire::Adaptive { error_bound: 0.05 },
+        ..Default::default()
+    };
+    for wire in [int8, adaptive] {
+        equivalence_suite_wire(ExchangeStrategy::Alltoall, 15, wire);
+        equivalence_suite_wire(ExchangeStrategy::CclAlltoall, 15, wire);
+    }
 }
 
 /// The default bucket cap (25 MiB, one bucket on this model) must also be
