@@ -260,6 +260,13 @@ impl DlrmModel {
         self.bottom.scratch_bytes() + self.top.scratch_bytes()
     }
 
+    /// Bytes of persistent interaction buffers (saved feature tiles and
+    /// per-thread gradient tiles). Constant after the first step of a fixed
+    /// batch shape.
+    pub fn interaction_scratch_bytes(&self) -> usize {
+        self.interaction.scratch_bytes()
+    }
+
     /// Copies any blocked-SGD updates back into the flat weight mirrors of
     /// both MLPs — required before reading `layer.w` directly (parameter
     /// fingerprints, checkpoints) after optimized training.

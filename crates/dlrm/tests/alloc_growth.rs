@@ -56,8 +56,8 @@ fn tiny_cfg() -> DlrmConfig {
 }
 
 /// Runs `steps` optimized train iterations and returns per-step
-/// (live-heap, embedding-scratch + MLP-plan-scratch) samples taken
-/// between steps.
+/// (live-heap, embedding-scratch + MLP-plan-scratch + interaction-scratch)
+/// samples taken between steps.
 fn sample_training(strategy: UpdateStrategy, fused: bool, steps: usize) -> Vec<(isize, usize)> {
     let cfg = tiny_cfg();
     let batches: Vec<MiniBatch> = (0..steps)
@@ -85,7 +85,9 @@ fn sample_training(strategy: UpdateStrategy, fused: bool, steps: usize) -> Vec<(
         model.train_step(b, 0.1);
         samples.push((
             LIVE_BYTES.load(Ordering::Relaxed),
-            model.embedding_scratch_bytes() + model.mlp_scratch_bytes(),
+            model.embedding_scratch_bytes()
+                + model.mlp_scratch_bytes()
+                + model.interaction_scratch_bytes(),
         ));
     }
     samples
